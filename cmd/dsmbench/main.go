@@ -29,7 +29,6 @@ import (
 	"hetdsm/internal/platform"
 	"hetdsm/internal/stats"
 	"hetdsm/internal/tag"
-	"hetdsm/internal/vmem"
 )
 
 func main() {
@@ -344,7 +343,6 @@ func (h *harness) ablation() {
 		{"baseline (paper)", nil},
 		{"no coalescing", func(o *dsd.Options) { o.Coalesce = false }},
 		{"no whole-array", func(o *dsd.Options) { o.WholeArrayThreshold = 0 }},
-		{"word-wise diff", func(o *dsd.Options) { o.Diff = vmem.DiffWord }},
 		{"invalidate protocol", func(o *dsd.Options) { o.Protocol = dsd.ProtocolInvalidate }},
 	}
 	pair, _ := apps.PairByLabel("SL")

@@ -46,7 +46,6 @@ func main() {
 		seed      = flag.Int64("seed", 20060814, "input generator seed")
 		coalesce  = flag.Bool("coalesce", true, "group consecutive elements into single tags")
 		whole     = flag.Float64("whole-array", 0.5, "whole-array transfer threshold (0 disables)")
-		wordDiff  = flag.Bool("word-diff", false, "compare twins word-wise instead of byte-wise")
 		traceN    = flag.Int("trace", 0, "print the last N protocol events after the run (0 disables)")
 		invalid   = flag.Bool("invalidate", false, "use the invalidate protocol instead of update")
 		opTimeout = flag.Duration("op-timeout", 0, "bound each sync-operation attempt; expired attempts sever the connection and retry idempotently (0 disables the deadline plane)")
@@ -71,9 +70,6 @@ func main() {
 	opts := dsd.DefaultOptions()
 	opts.Coalesce = *coalesce
 	opts.WholeArrayThreshold = *whole
-	if *wordDiff {
-		opts.Diff = vmem.DiffWord
-	}
 	if *invalid {
 		opts.Protocol = dsd.ProtocolInvalidate
 	}

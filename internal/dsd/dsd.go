@@ -31,7 +31,6 @@ import (
 	"hetdsm/internal/flight"
 	"hetdsm/internal/telemetry"
 	"hetdsm/internal/trace"
-	"hetdsm/internal/vmem"
 	"hetdsm/internal/wire"
 )
 
@@ -51,10 +50,10 @@ type Options struct {
 	// WholeArrayThreshold widens a span to its entire entry when the
 	// span already covers at least this fraction of the entry's
 	// elements, letting large arrays be transferred and converted "as a
-	// whole" (paper Section 4). Zero disables widening.
+	// whole" (paper Section 4). Zero disables widening. Only the home
+	// widens, when it materializes updates from its master copy; thread
+	// releases always carry exactly the written elements.
 	WholeArrayThreshold float64
-	// Diff selects the twin comparison granularity.
-	Diff vmem.DiffGranularity
 	// Trace, when non-nil, records protocol events into the ring buffer
 	// for debugging; nil disables tracing.
 	Trace *trace.Log
@@ -170,13 +169,12 @@ func (p Protocol) String() string {
 }
 
 // DefaultOptions returns the configuration the paper describes: coalescing
-// on, whole-array transfers on at half coverage, byte-granular diffs.
+// on, whole-array transfers on at half coverage.
 func DefaultOptions() Options {
 	return Options{
 		Base:                DefaultBase,
 		Coalesce:            true,
 		WholeArrayThreshold: 0.5,
-		Diff:                vmem.DiffByte,
 	}
 }
 

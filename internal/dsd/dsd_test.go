@@ -440,7 +440,6 @@ func TestAblationOptionsStillCorrect(t *testing.T) {
 	}{
 		{"no-coalesce", func(o *Options) { o.Coalesce = false }},
 		{"no-whole-array", func(o *Options) { o.WholeArrayThreshold = 0 }},
-		{"word-diff", func(o *Options) { o.Diff = 1 }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			opts := DefaultOptions()

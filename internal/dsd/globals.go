@@ -137,7 +137,8 @@ func (v *Var) SetInt(i int, x int64) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, v.e.ElemSize)
+	var tmp [8]byte
+	buf := tmp[:v.e.ElemSize]
 	v.g.plat.PutInt(buf, v.e.ElemSize, x)
 	v.noteWrite(i, 1)
 	if err := v.g.seg.Write(off, buf); err != nil {
@@ -239,7 +240,8 @@ func (v *Var) SetUint(i int, x uint64) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, v.e.ElemSize)
+	var tmp [8]byte
+	buf := tmp[:v.e.ElemSize]
 	v.g.plat.PutUint(buf, v.e.ElemSize, x)
 	v.noteWrite(i, 1)
 	return v.g.seg.Write(off, buf)
@@ -271,7 +273,8 @@ func (v *Var) SetFloat64(i int, x float64) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 8)
+	var tmp [8]byte
+	buf := tmp[:]
 	v.g.plat.PutFloat64(buf, x)
 	v.noteWrite(i, 1)
 	return v.g.seg.Write(off, buf)
@@ -356,7 +359,8 @@ func (v *Var) SetPtr(i int, addr uint64) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, v.e.ElemSize)
+	var tmp [8]byte
+	buf := tmp[:v.e.ElemSize]
 	v.g.plat.PutUint(buf, v.e.ElemSize, addr)
 	v.noteWrite(i, 1)
 	if err := v.g.seg.Write(off, buf); err != nil {
@@ -444,7 +448,8 @@ func (v *Var) SetFloat32(i int, x float32) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 4)
+	var tmp [4]byte
+	buf := tmp[:]
 	v.g.plat.PutFloat32(buf, x)
 	v.noteWrite(i, 1)
 	return v.g.seg.Write(off, buf)

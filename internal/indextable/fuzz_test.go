@@ -59,7 +59,11 @@ func decodeShape(data []byte) *tag.Struct {
 //     to no element;
 //   - MapRanges covers exactly the elements of MapRangesNoCoalesce, stays
 //     in bounds, and its spans survive a MergeSpans round trip;
-//   - SpanOffset/SpanBytes address storage inside the segment.
+//   - SpanOffset/SpanBytes address storage inside the segment, and
+//     AppendSpanTag renders SpanTag's text;
+//   - AppendMapRanges equals MapRanges and the byte-by-byte MapOffset
+//     reference on unsorted, overlapping and empty range lists, and leaves
+//     the spans already in its destination alone.
 //
 // The corpus seeds encode the unit-test fixtures: the paper's Table 1
 // struct, the padded nested struct, and an array-of-struct shape.
@@ -123,6 +127,11 @@ func FuzzIndexTable(f *testing.F) {
 				return set
 			}
 			cov := elements(spans)
+			for _, s := range spans {
+				if got, want := string(tb.AppendSpanTag(nil, s)), tb.SpanTag(s).String(); got != want {
+					t.Fatalf("%s: AppendSpanTag(%+v) = %q, SpanTag %q", p, s, got, want)
+				}
+			}
 			single := elements(tb.MapRangesNoCoalesce(ranges))
 			if len(cov) != len(single) {
 				t.Fatalf("%s: coalesced covers %d elements, non-coalesced %d", p, len(cov), len(single))
@@ -135,6 +144,16 @@ func FuzzIndexTable(f *testing.F) {
 			if merged := MergeSpans(spans); len(elements(merged)) != len(cov) {
 				t.Fatalf("%s: MergeSpans changed coverage", p)
 			}
+
+			// A multi-range list in whatever order the fuzzer wrote it:
+			// each data byte pair is one range, some empty or inverted.
+			multi := []vmem.Range{{Start: lo, End: hi}}
+			for i := 0; i+1 < len(data); i += 2 {
+				s := (int(data[i]) * int(start+1)) % tb.Size()
+				multi = append(multi, vmem.Range{Start: s, End: s + int(data[i+1]) - 64})
+			}
+			checkAppendMapRanges(t, tb, multi)
+			checkAppendMapRanges(t, tb, nil)
 		}
 		// Entry indexes are the cross-platform contract.
 		for _, tb := range tables[1:] {
@@ -143,4 +162,40 @@ func FuzzIndexTable(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refMapRanges maps every dirty byte through MapOffset and merges the
+// element set: the coalesced spans a correct mapper must produce.
+func refMapRanges(tb *Table, ranges []vmem.Range) []Span {
+	var elems []Span
+	for _, r := range ranges {
+		for off := max(r.Start, 0); off < min(r.End, tb.Size()); off++ {
+			if entry, elem, ok := tb.MapOffset(off); ok {
+				elems = append(elems, Span{Entry: entry, First: elem, Count: 1})
+			}
+		}
+	}
+	return MergeSpans(elems)
+}
+
+func checkAppendMapRanges(t *testing.T, tb *Table, ranges []vmem.Range) {
+	t.Helper()
+	orig := append([]vmem.Range(nil), ranges...)
+	want := refMapRanges(tb, ranges)
+	got := tb.MapRanges(ranges)
+	prefix := []Span{{Entry: 0, First: 0, Count: 1}}
+	app := tb.AppendMapRanges(append([]Span(nil), prefix...), ranges)
+	if len(got) != len(want) || len(app) != 1+len(want) || app[0] != prefix[0] {
+		t.Fatalf("ranges %v: MapRanges %v, AppendMapRanges %v, reference %v", ranges, got, app, want)
+	}
+	for i := range want {
+		if got[i] != want[i] || app[1+i] != want[i] {
+			t.Fatalf("ranges %v: MapRanges %v, AppendMapRanges %v, reference %v", ranges, got, app, want)
+		}
+	}
+	for i := range orig {
+		if ranges[i] != orig[i] {
+			t.Fatalf("mapping reordered the caller's ranges: %v, was %v", ranges, orig)
+		}
+	}
 }

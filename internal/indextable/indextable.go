@@ -13,7 +13,10 @@ package indextable
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"hetdsm/internal/platform"
@@ -258,53 +261,44 @@ type Span struct {
 // vmem.Segment.Diff) into coalesced element spans. Bytes that fall into
 // padding are dropped — padding never carries data. A byte range that
 // partially covers an element widens to the whole element: the element is
-// the atomic update unit.
+// the atomic update unit. The result is a fresh slice.
 //
 // This is the t_index stage of Eq. 1 (with coalescing, the default the
 // paper describes; see MapRangesNoCoalesce for the ablation).
 func (t *Table) MapRanges(ranges []vmem.Range) []Span {
-	return t.mapRanges(ranges, true)
+	return t.appendMapRanges(nil, ranges, true)
+}
+
+// AppendMapRanges is MapRanges appending to dst: with a warm dst and
+// ranges already in ascending order (as vmem.Segment.AppendDiff produces
+// them) it does not allocate. Spans already in dst are left untouched.
+func (t *Table) AppendMapRanges(dst []Span, ranges []vmem.Range) []Span {
+	return t.appendMapRanges(dst, ranges, true)
 }
 
 // MapRangesNoCoalesce maps each modified element to its own single-element
 // span, the naive scheme the paper's coalescing optimization replaces.
 func (t *Table) MapRangesNoCoalesce(ranges []vmem.Range) []Span {
-	return t.mapRanges(ranges, false)
+	return t.appendMapRanges(nil, ranges, false)
 }
 
-func (t *Table) mapRanges(ranges []vmem.Range, coalesce bool) []Span {
-	// Normalize: sort by start and merge overlaps so the single forward
-	// sweep below is correct for arbitrary caller input. vmem.Diff output
-	// is already sorted; this protects other producers.
-	sorted := make([]vmem.Range, len(ranges))
-	copy(sorted, ranges)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	merged := sorted[:0]
-	for _, r := range sorted {
-		if r.Len() <= 0 {
-			continue
-		}
-		if n := len(merged); n > 0 && merged[n-1].End >= r.Start {
-			if r.End > merged[n-1].End {
-				merged[n-1].End = r.End
-			}
-			continue
-		}
-		merged = append(merged, r)
-	}
-	ranges = merged
+func byStart(a, b vmem.Range) int { return a.Start - b.Start }
 
-	var out []Span
+func (t *Table) appendMapRanges(out []Span, ranges []vmem.Range, coalesce bool) []Span {
+	// The sweep needs ranges ordered by start; overlapping and touching
+	// ones are merged on the fly. vmem's diff output is already ordered,
+	// so only other producers pay for a sorted copy.
+	if !slices.IsSortedFunc(ranges, byStart) {
+		ranges = slices.Clone(ranges)
+		slices.SortFunc(ranges, byStart)
+	}
+	floor := len(out)
 	emit := func(entry, first, count int) {
-		if coalesce && len(out) > 0 {
+		if coalesce && len(out) > floor {
 			last := &out[len(out)-1]
 			if last.Entry == entry && last.First+last.Count >= first {
 				// Merge overlapping/adjacent runs in the same entry.
-				end := first + count
-				if lastEnd := last.First + last.Count; lastEnd > end {
-					end = lastEnd
-				}
-				last.Count = end - last.First
+				last.Count = max(first+count, last.First+last.Count) - last.First
 				return
 			}
 		}
@@ -316,39 +310,79 @@ func (t *Table) mapRanges(ranges []vmem.Range, coalesce bool) []Span {
 			out = append(out, Span{Entry: entry, First: first + i, Count: 1})
 		}
 	}
-	for _, r := range ranges {
+	// cur is the entry cursor: the last entry starting at or before the
+	// offset being mapped (or entry 0 before it). Offsets only grow, so the
+	// cursor only moves forward — one step to the next entry, a binary
+	// search for a longer jump.
+	cur := 0
+	seek := func(off int) {
+		n := cur + 1
+		if n == len(t.entries) || t.entries[n].Offset > off {
+			return
+		}
+		if n+1 == len(t.entries) || t.entries[n+1].Offset > off {
+			cur = n
+			return
+		}
+		cur = n + sort.Search(len(t.entries)-n, func(i int) bool { return t.entries[n+i].Offset > off }) - 1
+	}
+	// covered is the end offset of the elements the last span holds; with
+	// coalescing, bytes below it add nothing (a double whose mantissa
+	// changed in two places diffs as two runs, one element).
+	covered := 0
+	sweep := func(r vmem.Range) {
 		off := r.Start
+		if coalesce && off < covered {
+			off = covered
+		}
 		for off < r.End {
-			entry, elem, ok := t.MapOffset(off)
-			if !ok {
+			seek(off)
+			e := &t.entries[cur]
+			entryEnd := e.Offset + e.Bytes()
+			if off < e.Offset || off >= entryEnd {
 				// Padding byte: skip forward to the next entry start.
-				off = t.nextEntryStart(off, r.End)
+				next := e.Offset
+				if off >= e.Offset {
+					if cur+1 == len(t.entries) {
+						return
+					}
+					next = t.entries[cur+1].Offset
+				}
+				if next >= r.End {
+					return
+				}
+				off = next
 				continue
 			}
-			e := t.entries[entry]
-			// Cover elements from elem up to the element containing
-			// the last byte of the overlap with this entry.
-			entryEnd := e.Offset + e.Bytes()
-			end := r.End
-			if entryEnd < end {
-				end = entryEnd
+			// Cover elements from the one holding off up to the one
+			// holding the last byte of the overlap with this entry.
+			// Scalar sizes are powers of two, so a shift divides.
+			end := min(r.End, entryEnd)
+			elem, lastElem := off-e.Offset, end-1-e.Offset
+			if sh := bits.TrailingZeros(uint(e.ElemSize)); 1<<sh == e.ElemSize {
+				elem, lastElem = elem>>sh, lastElem>>sh
+			} else {
+				elem, lastElem = elem/e.ElemSize, lastElem/e.ElemSize
 			}
-			lastElem := (end - 1 - e.Offset) / e.ElemSize
-			emit(entry, elem, lastElem-elem+1)
+			emit(cur, elem, lastElem-elem+1)
+			covered = e.Offset + (lastElem+1)*e.ElemSize
 			off = entryEnd
 		}
 	}
-	return out
-}
-
-// nextEntryStart returns the offset of the first entry starting after off,
-// or limit when none is below limit.
-func (t *Table) nextEntryStart(off, limit int) int {
-	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Offset > off })
-	if i == len(t.entries) || t.entries[i].Offset >= limit {
-		return limit
+	var run vmem.Range
+	for _, r := range ranges {
+		if r.Len() <= 0 {
+			continue
+		}
+		if run.Len() > 0 && run.End >= r.Start {
+			run.End = max(run.End, r.End)
+			continue
+		}
+		sweep(run)
+		run = r
 	}
-	return t.entries[i].Offset
+	sweep(run)
+	return out
 }
 
 // MergeSpans sorts spans by (entry, first element) and merges overlapping
@@ -429,6 +463,79 @@ func SubtractSpan(spans []Span, s Span) []Span {
 	return MergeSpans(out)
 }
 
+// spanCmp orders spans by (entry, first element).
+func spanCmp(a, b Span) int {
+	if a.Entry != b.Entry {
+		return a.Entry - b.Entry
+	}
+	return a.First - b.First
+}
+
+// InsertSpan adds s to set, which must be sorted and merged (as MergeSpans
+// leaves it), and returns the set still sorted and merged. It works in
+// place: appending after the last span, or extending it, costs O(1), the
+// common case for writes that move forward through memory; elsewhere a
+// binary search finds the slot and the merged-over spans are closed up.
+func InsertSpan(set []Span, s Span) []Span {
+	if s.Count <= 0 {
+		return set
+	}
+	if n := len(set); n == 0 || spanCmp(set[n-1], s) <= 0 {
+		if n > 0 {
+			last := &set[n-1]
+			if last.Entry == s.Entry && s.First <= last.First+last.Count {
+				last.Count = max(last.First+last.Count, s.First+s.Count) - last.First
+				return set
+			}
+		}
+		return append(set, s)
+	}
+	// i is the first span that could merge with s: the one before the
+	// insertion point if it reaches s, else the insertion point itself.
+	i, _ := slices.BinarySearchFunc(set, s, spanCmp)
+	if i > 0 && set[i-1].Entry == s.Entry && set[i-1].First+set[i-1].Count >= s.First {
+		i--
+	}
+	j := i
+	lo, hi := s.First, s.First+s.Count
+	for j < len(set) && set[j].Entry == s.Entry && set[j].First <= hi {
+		lo = min(lo, set[j].First)
+		hi = max(hi, set[j].First+set[j].Count)
+		j++
+	}
+	merged := Span{Entry: s.Entry, First: lo, Count: hi - lo}
+	if i == j {
+		return slices.Insert(set, i, merged)
+	}
+	set[i] = merged
+	return slices.Delete(set, i+1, j)
+}
+
+// AppendDifference appends to dst the parts of s not covered by set, which
+// must be sorted and merged, in ascending order. It is SubtractSpan seen
+// from the other side — what remains of one span after removing a set —
+// and finds the overlapping spans by binary search, so its cost grows with
+// the overlaps, not with the set.
+func AppendDifference(dst []Span, s Span, set []Span) []Span {
+	end := s.First + s.Count
+	// First span of s's entry that ends after s starts.
+	i := sort.Search(len(set), func(i int) bool {
+		sp := set[i]
+		return sp.Entry > s.Entry || (sp.Entry == s.Entry && sp.First+sp.Count > s.First)
+	})
+	next := s.First
+	for ; i < len(set) && set[i].Entry == s.Entry && set[i].First < end; i++ {
+		if set[i].First > next {
+			dst = append(dst, Span{Entry: s.Entry, First: next, Count: set[i].First - next})
+		}
+		next = max(next, set[i].First+set[i].Count)
+	}
+	if next < end {
+		dst = append(dst, Span{Entry: s.Entry, First: next, Count: end - next})
+	}
+	return dst
+}
+
 // SpanBytes returns the local storage size of a span.
 func (t *Table) SpanBytes(s Span) int {
 	return t.entries[s.Entry].ElemSize * s.Count
@@ -449,6 +556,22 @@ func (t *Table) SpanTag(s Span) tag.Seq {
 		count = -count
 	}
 	return tag.Seq{{Size: e.ElemSize, Count: count}}
+}
+
+// AppendSpanTag appends the text of SpanTag(s) to dst without building the
+// intermediate tag.Seq, so a release can render all its tags into one
+// buffer.
+func (t *Table) AppendSpanTag(dst []byte, s Span) []byte {
+	e := &t.entries[s.Entry]
+	count := s.Count
+	if e.Pointer {
+		count = -count
+	}
+	dst = append(dst, '(')
+	dst = strconv.AppendInt(dst, int64(e.ElemSize), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(count), 10)
+	return append(dst, ')')
 }
 
 // Translator returns a convert.Translator-compatible mapping from addresses

@@ -4,28 +4,38 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
-// byteOrder returns the encoding/binary order for the platform.
-func (p *Platform) byteOrder() binary.ByteOrder {
-	if p.Order == Big {
-		return binary.BigEndian
-	}
-	return binary.LittleEndian
-}
+// The codec works on concrete little-endian loads and stores and swaps
+// bytes for big-endian platforms, rather than calling through the
+// binary.ByteOrder interface: an interface call makes every buffer passed
+// to it escape, so each element store would allocate.
 
 // PutUint writes the low size bytes of v into b in the platform's byte
 // order. size must be 1, 2, 4 or 8 and len(b) must be at least size.
 func (p *Platform) PutUint(b []byte, size int, v uint64) {
+	big := p.Order == Big
 	switch size {
 	case 1:
 		b[0] = byte(v)
 	case 2:
-		p.byteOrder().PutUint16(b, uint16(v))
+		x := uint16(v)
+		if big {
+			x = bits.ReverseBytes16(x)
+		}
+		binary.LittleEndian.PutUint16(b, x)
 	case 4:
-		p.byteOrder().PutUint32(b, uint32(v))
+		x := uint32(v)
+		if big {
+			x = bits.ReverseBytes32(x)
+		}
+		binary.LittleEndian.PutUint32(b, x)
 	case 8:
-		p.byteOrder().PutUint64(b, v)
+		if big {
+			v = bits.ReverseBytes64(v)
+		}
+		binary.LittleEndian.PutUint64(b, v)
 	default:
 		panic(fmt.Sprintf("platform: bad scalar size %d", size))
 	}
@@ -34,15 +44,28 @@ func (p *Platform) PutUint(b []byte, size int, v uint64) {
 // Uint reads a size-byte unsigned integer from b in the platform's byte
 // order.
 func (p *Platform) Uint(b []byte, size int) uint64 {
+	big := p.Order == Big
 	switch size {
 	case 1:
 		return uint64(b[0])
 	case 2:
-		return uint64(p.byteOrder().Uint16(b))
+		x := binary.LittleEndian.Uint16(b)
+		if big {
+			x = bits.ReverseBytes16(x)
+		}
+		return uint64(x)
 	case 4:
-		return uint64(p.byteOrder().Uint32(b))
+		x := binary.LittleEndian.Uint32(b)
+		if big {
+			x = bits.ReverseBytes32(x)
+		}
+		return uint64(x)
 	case 8:
-		return p.byteOrder().Uint64(b)
+		x := binary.LittleEndian.Uint64(b)
+		if big {
+			x = bits.ReverseBytes64(x)
+		}
+		return x
 	default:
 		panic(fmt.Sprintf("platform: bad scalar size %d", size))
 	}
@@ -63,22 +86,22 @@ func (p *Platform) Int(b []byte, size int) int64 {
 
 // PutFloat32 writes an IEEE-754 single in the platform's byte order.
 func (p *Platform) PutFloat32(b []byte, v float32) {
-	p.byteOrder().PutUint32(b, math.Float32bits(v))
+	p.PutUint(b, 4, uint64(math.Float32bits(v)))
 }
 
 // Float32 reads an IEEE-754 single in the platform's byte order.
 func (p *Platform) Float32(b []byte) float32 {
-	return math.Float32frombits(p.byteOrder().Uint32(b))
+	return math.Float32frombits(uint32(p.Uint(b, 4)))
 }
 
 // PutFloat64 writes an IEEE-754 double in the platform's byte order.
 func (p *Platform) PutFloat64(b []byte, v float64) {
-	p.byteOrder().PutUint64(b, math.Float64bits(v))
+	p.PutUint(b, 8, math.Float64bits(v))
 }
 
 // Float64 reads an IEEE-754 double in the platform's byte order.
 func (p *Platform) Float64(b []byte) float64 {
-	return math.Float64frombits(p.byteOrder().Uint64(b))
+	return math.Float64frombits(p.Uint(b, 8))
 }
 
 // PutScalar stores v (one of int64, uint64, float32, float64) into b using

@@ -30,7 +30,7 @@ func BenchmarkUnprotectedWrite(b *testing.B) {
 	}
 }
 
-func benchDiff(b *testing.B, g DiffGranularity, dirtyBytes int) {
+func benchDiff(b *testing.B, dirtyBytes int) {
 	const size = 1 << 20
 	s := MustSegment(0, size, 4096)
 	s.ProtectAll()
@@ -44,18 +44,18 @@ func benchDiff(b *testing.B, g DiffGranularity, dirtyBytes int) {
 		}
 	}
 	b.SetBytes(int64(len(s.DirtyPages()) * 4096))
+	b.ReportAllocs()
 	b.ResetTimer()
+	var d []Range
 	for i := 0; i < b.N; i++ {
-		if d := s.Diff(g); len(d) == 0 {
+		if d = s.AppendDiff(d[:0]); len(d) == 0 {
 			b.Fatal("no diffs")
 		}
 	}
 }
 
-func BenchmarkDiffByteSparse(b *testing.B) { benchDiff(b, DiffByte, 64*1024) }
-func BenchmarkDiffWordSparse(b *testing.B) { benchDiff(b, DiffWord, 64*1024) }
-func BenchmarkDiffByteDense(b *testing.B)  { benchDiff(b, DiffByte, 1<<20) }
-func BenchmarkDiffWordDense(b *testing.B)  { benchDiff(b, DiffWord, 1<<20) }
+func BenchmarkDiffSparse(b *testing.B) { benchDiff(b, 64*1024) }
+func BenchmarkDiffDense(b *testing.B)  { benchDiff(b, 1<<20) }
 
 func BenchmarkProtectAll(b *testing.B) {
 	s := MustSegment(0, 1<<22, 4096)

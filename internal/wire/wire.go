@@ -367,7 +367,7 @@ func Encode(m *Message) ([]byte, error) {
 	if m.Kind == KindInvalid || m.Kind >= numKinds {
 		return nil, fmt.Errorf("wire: cannot encode kind %v", m.Kind)
 	}
-	buf := make([]byte, 0, 64+encodedUpdatesSize(m.Updates))
+	buf := make([]byte, 0, encodedSize(m))
 	buf = append(buf, byte(m.Kind))
 	buf = be64(buf, m.Seq)
 	buf = be32(buf, uint32(m.Rank))
@@ -452,7 +452,7 @@ func appendRep(buf []byte, r *Replication) []byte {
 // EncodeReplication serializes a bare replication record outside any
 // message frame; the write-ahead log stores records in this form.
 func EncodeReplication(r *Replication) []byte {
-	buf := make([]byte, 0, 96+len(r.Image)+encodedUpdatesSize(r.Updates))
+	buf := make([]byte, 0, repSize(r))
 	return appendRep(buf, r)
 }
 
@@ -495,13 +495,40 @@ func appendPairs(buf []byte, ps []RepPair) []byte {
 	return buf
 }
 
-func encodedUpdatesSize(us []Update) int {
-	n := 0
+// encodedSize is the exact length Encode produces for m, so the frame is
+// allocated once at its final size.
+func encodedSize(m *Message) int {
+	n := 1 + 8 + 4 + 4 + strSize(m.Platform) + 8 + updatesSize(m.Updates) + 1
+	if st := m.State; st != nil {
+		n += 8 + strSize(st.FrameTag) + 4 + len(st.Frame) + strSize(st.ExtraTag) + 4 + len(st.Extra)
+	}
+	n += strSize(m.Err) + strSize(m.Addr) + 1 + 1 + 8 + 1
+	if m.Rep != nil {
+		n += repSize(m.Rep)
+	}
+	n += 4 + 4 + len(m.Dir)*(4+1+4+8) + 4 + len(m.Heat)*(4+4) + 8 + 8 + 4
+	return n
+}
+
+// repSize is the exact length appendRep produces for r.
+func repSize(r *Replication) int {
+	return 8 + 1 + 4 + 4 + strSize(r.Platform) + 8 + 4 + len(r.Image) + strSize(r.Tag) + 1 + 1 + 4 +
+		updatesSize(r.Updates) + pairsSize(r.Held) + 4 + 4*len(r.Joined) +
+		pairsSize(r.Applied) + pairsSize(r.Released) + 8 + 8 + 8
+}
+
+func updatesSize(us []Update) int {
+	n := 4
 	for i := range us {
-		n += 12 + 4 + len(us[i].Tag) + 4 + len(us[i].Data)
+		n += 12 + strSize(us[i].Tag) + 4 + len(us[i].Data)
 	}
 	return n
 }
+
+func pairsSize(ps []RepPair) int { return 4 + 12*len(ps) }
+
+// strSize is the encoded length of s, clamped as appendString clamps it.
+func strSize(s string) int { return 4 + min(len(s), maxStringLen) }
 
 // Decode parses a message encoded by Encode. This is the t_unpack work.
 // The returned message aliases b's storage for Data/Frame slices; callers
