@@ -2,6 +2,7 @@ package dsd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -139,6 +140,13 @@ func TestHomeRejectsMalformedProtocol(t *testing.T) {
 				Updates: []wire.Update{{Entry: 1, First: 0, Count: 2, Tag: "(8,2)", Data: make([]byte, 16)}},
 			}),
 		}},
+		{"huge counts with no data", [][]byte{
+			hello(9),
+			encodeMsg(t, &wire.Message{
+				Kind: wire.KindUnlockReq, Rank: 9, Platform: platform.SolarisSPARC.Name, Base: DefaultBase,
+				Updates: hugeEmptyUpdates(1<<16, 1),
+			}),
+		}},
 		{"negative span", [][]byte{
 			hello(9),
 			encodeMsg(t, &wire.Message{
@@ -181,6 +189,17 @@ func TestHomeRejectsMalformedProtocol(t *testing.T) {
 	if err := th.Join(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hugeEmptyUpdates returns n updates of entry that each claim MaxInt32
+// elements but carry no data. Sized from the counts alone, their output
+// would exceed the largest allocation Go permits.
+func hugeEmptyUpdates(n int, entry int32) []wire.Update {
+	ups := make([]wire.Update, n)
+	for i := range ups {
+		ups[i] = wire.Update{Entry: entry, First: 0, Count: math.MaxInt32, Tag: "(4,1)"}
+	}
+	return ups
 }
 
 // TestThreadSurvivesHomeCrash verifies a thread gets a clean error, not a

@@ -458,7 +458,7 @@ func (s *Slot) runSkeleton() error {
 	// Re-register the rank; the source releases it when its DSD
 	// connection closes, which races with the ack we already sent.
 	var th *dsd.Thread
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(dsd.RegisterRetryWindow)
 	for {
 		th, err = dsd.Dial(s.node.nw, s.node.homeAddr, s.node.plat, s.rank, s.node.gthv, s.node.opts)
 		if err == nil {

@@ -314,6 +314,18 @@ func TestTwinBytes(t *testing.T) {
 	if got := s.TwinBytes(); got != 2*4096 {
 		t.Errorf("TwinBytes = %d, want %d", got, 2*4096)
 	}
+	// The next window drops the twins but keeps their buffers; a new
+	// page adds one more.
+	s.ProtectAll()
+	if err := s.Write(4096, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TwinBytes(); got != 4096 {
+		t.Errorf("TwinBytes after ProtectAll = %d, want %d", got, 4096)
+	}
+	if got := s.RetainedTwinBytes(); got != 3*4096 {
+		t.Errorf("RetainedTwinBytes = %d, want %d", got, 3*4096)
+	}
 }
 
 func TestSolarisPageSize(t *testing.T) {
